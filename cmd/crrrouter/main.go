@@ -32,6 +32,7 @@ import (
 
 	"github.com/crrlab/crr/internal/cluster"
 	"github.com/crrlab/crr/internal/router"
+	"github.com/crrlab/crr/internal/serve"
 	"github.com/crrlab/crr/internal/telemetry"
 )
 
@@ -119,7 +120,13 @@ func run(nodes []string, addr string, replicas, vnodes int, probeEvery, reqTimeo
 		return err
 	}
 	logf("crrrouter: listening on %s, %d node(s)", l.Addr(), len(specs))
-	hs := &http.Server{Handler: rtr.Handler()}
+	hs := &http.Server{
+		Handler: rtr.Handler(),
+		// Slow-header clients are dropped after the forwarding deadline;
+		// they would otherwise hold connections outside every quota.
+		ReadHeaderTimeout: rtr.RequestTimeout(),
+		IdleTimeout:       serve.IdleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(l) }()
 

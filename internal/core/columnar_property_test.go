@@ -11,6 +11,7 @@ import (
 	"github.com/crrlab/crr/internal/experiments"
 	"github.com/crrlab/crr/internal/predicate"
 	"github.com/crrlab/crr/internal/regress"
+	"github.com/crrlab/crr/internal/verify"
 )
 
 // The columnar execution core's parity contract, asserted property-style
@@ -217,10 +218,11 @@ func TestExplainViewParity(t *testing.T) {
 	}
 }
 
-// TestDiscoveryRowScanBitwise: sequential discovery on the columnar scan
-// engine vs the RowScan reference must be bitwise-identical (weights
-// compared with tolerance 0) under a randomized predicate space.
-func TestDiscoveryRowScanBitwise(t *testing.T) {
+// TestDiscoveryReferenceBitwise: sequential discovery must be
+// bitwise-identical (weights compared with tolerance 0, same stats) to the
+// tuple-at-a-time verify.ReferenceDiscover under a randomized predicate
+// space.
+func TestDiscoveryReferenceBitwise(t *testing.T) {
 	for _, spec := range propertySpecs() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
@@ -235,17 +237,17 @@ func TestDiscoveryRowScanBitwise(t *testing.T) {
 				Preds:   preds,
 				Trainer: regress.LinearTrainer{},
 			}
-			colRes, err := core.Discover(context.Background(), rel, core.WithConfig(cfg))
+			got, err := core.Discover(context.Background(), rel, core.WithConfig(cfg))
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.RowScan = true
-			rowRes, err := core.Discover(context.Background(), rel, core.WithConfig(cfg))
+			want, err := verify.ReferenceDiscover(context.Background(), rel, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !experiments.SameRules(colRes.Rules, rowRes.Rules, 0) {
-				t.Fatal("columnar and row-scan discovery output not bitwise-identical")
+			if !experiments.SameRules(got.Rules, want.Rules, 0) || got.Stats != want.Stats {
+				t.Fatalf("engine and reference discovery not bitwise-identical: stats %+v vs %+v",
+					got.Stats, want.Stats)
 			}
 		})
 	}

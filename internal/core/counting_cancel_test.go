@@ -60,10 +60,10 @@ func TestDiscoverSeqCancelEveryPop(t *testing.T) {
 	}
 }
 
-// TestDiscoverParallelCancelByPolling drives the parallel engine's
+// TestParallelCancelByPolling drives the parallel engine's
 // cancellation purely through Err() polling — Done() never fires, so the
 // watcher goroutine cannot help. Workers must notice on their own.
-func TestDiscoverParallelCancelByPolling(t *testing.T) {
+func TestParallelCancelByPolling(t *testing.T) {
 	rel := piecewiseRelation(300, 0.2, 5)
 	cfg := discoverCfg(rel, 0.5)
 	cfg.Workers = 4

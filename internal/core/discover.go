@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"github.com/crrlab/crr/internal/dataset"
 	"github.com/crrlab/crr/internal/predicate"
@@ -90,20 +91,15 @@ type DiscoverConfig struct {
 	// children cost queue work; the default single best cut matches the
 	// binary searching of the paper's complexity analysis (§V-A4).
 	Prop8Splits bool
-	// Columns discovers over a columnar substrate directly — typically the
-	// mmap-backed ColumnSet of an out-of-core store (internal/colstore) —
-	// instead of building one from a Relation. When set together with a
-	// Relation the two must describe the same data (the columnar engine reads
-	// Columns; the RowScan reference path reads the Relation); with a nil
-	// Relation (DiscoverColumns, WithColumnStore) the tuple-requiring paths
-	// (RowScan, the stability strategy) fail with ErrTuplesRequired.
+	// Columns is the columnar substrate discovery reads — typically the
+	// mmap-backed ColumnSet of an out-of-core store (internal/colstore).
+	// Discover builds it once from the Relation when unset; DiscoverColumns
+	// and WithColumnStore supply it. When set together with a Relation the
+	// two must describe the same data: the engine reads only Columns, and
+	// the Relation stays reachable through Substrate.Relation for strategies
+	// that resample tuples (stability), which fail with ErrTuplesRequired on
+	// a run without one.
 	Columns *dataset.ColumnSet
-	// RowScan switches part materialization and split scoring to the
-	// tuple-at-a-time reference path instead of the columnar engine
-	// (dataset.ColumnSet + vectorized predicate filters). The two paths are
-	// bitwise-identical by contract; RowScan exists so the parity harness
-	// (crrbench -compare, the property tests) can assert it end to end.
-	RowScan bool
 	// Workers is the discovery worker count: 0 or 1 selects the sequential
 	// engine, n > 1 the parallel engine with n workers, negative one worker
 	// per CPU. The parallel engine trades exact ind(C) ordering for
@@ -160,7 +156,8 @@ func Discover(ctx context.Context, rel *dataset.Relation, opts ...DiscoverOption
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	if err := applyDefaults(rel, &cfg); err != nil {
+	columnsFor(rel, &cfg)
+	if err := applyDefaults(&cfg); err != nil {
 		return nil, err
 	}
 	return discoverFor(ctx, rel, cfg)
@@ -170,57 +167,46 @@ func Discover(ctx context.Context, rel *dataset.Relation, opts ...DiscoverOption
 // columnar substrate — the entrypoint for out-of-core discovery, where the
 // ColumnSet is the adopted view of an mmap'd store (colstore.Store.Columns)
 // and no Relation ever exists in memory. It accepts the same options as
-// Discover and is exactly equivalent to it by the engine's bitwise-parity
-// contract: the columnar hot path reads raw column values in identical order
-// either way. Tuple-requiring paths (WithConfig{RowScan: true}, the
-// stability strategy) fail with ErrTuplesRequired.
+// Discover and is exactly equivalent to it: the engine reads raw column
+// values in identical order either way. The stability strategy, which
+// resamples tuples, fails with ErrTuplesRequired.
 func DiscoverColumns(ctx context.Context, cols *dataset.ColumnSet, opts ...DiscoverOption) (*DiscoverResult, error) {
 	var cfg DiscoverConfig
 	for _, opt := range opts {
 		opt(&cfg)
 	}
 	cfg.Columns = cols
-	if err := applyDefaults(nil, &cfg); err != nil {
+	if err := applyDefaults(&cfg); err != nil {
 		return nil, err
 	}
 	return discoverFor(ctx, nil, cfg)
 }
 
-// dataSource resolves the run's schema and row count from the configured
-// data: the relation when present, the column store otherwise. A run with
-// neither is an empty run.
-func dataSource(rel *dataset.Relation, cfg *DiscoverConfig) (rows int, schema *dataset.Schema, err error) {
-	switch {
-	case rel != nil:
-		return rel.Len(), rel.Schema, nil
-	case cfg.Columns != nil:
-		return cfg.Columns.Len(), cfg.Columns.Schema, nil
+// columnsFor gives the run its columnar substrate: a supplied
+// DiscoverConfig.Columns is used as-is, otherwise the ColumnSet is built
+// once from rel, with the build time charged to the run's telemetry. A nil
+// rel leaves Columns unset, which applyDefaults reports as an empty run.
+func columnsFor(rel *dataset.Relation, cfg *DiscoverConfig) {
+	if cfg.Columns != nil || rel == nil {
+		return
 	}
-	return 0, nil, ErrEmptyRelation
+	start := time.Now()
+	cfg.Columns = dataset.NewColumnSet(rel)
+	cfg.Telemetry.Counter(telemetry.MetricColumnsBuild).Add(time.Since(start).Nanoseconds())
 }
 
-// applyDefaults fills cfg's open slots against the run's data source the way
+// applyDefaults fills cfg's open slots against the run's columns the way
 // the options API promises — the paper-default predicate space over the X
 // attributes plus every categorical attribute when ℙ is unset, then
-// Validate's trainer and ρ_M defaulting — and rejects empty inputs. Both the
-// tuple entrypoints (Discover, DiscoverTargets) and the columnar one
-// (DiscoverColumns) share it, so all accept the same minimal configurations.
-func applyDefaults(rel *dataset.Relation, cfg *DiscoverConfig) error {
-	rows, schema, err := dataSource(rel, cfg)
-	if err != nil {
-		return err
-	}
-	if rows == 0 {
+// Validate's trainer and ρ_M defaulting — and rejects empty inputs. Every
+// entrypoint shares it, so all accept the same minimal configurations.
+func applyDefaults(cfg *DiscoverConfig) error {
+	if cfg.Columns == nil || cfg.Columns.Len() == 0 {
 		return ErrEmptyRelation
 	}
 	if cfg.Preds == nil {
-		attrs := defaultPredicateAttrs(schema, cfg.XAttrs, cfg.YAttr)
-		gcfg := predicate.GeneratorConfig{Seed: cfg.Seed}
-		if rel != nil {
-			cfg.Preds = predicate.Generate(rel, attrs, gcfg)
-		} else {
-			cfg.Preds = predicate.GenerateColumns(cfg.Columns, attrs, gcfg)
-		}
+		attrs := defaultPredicateAttrs(cfg.Columns.Schema, cfg.XAttrs, cfg.YAttr)
+		cfg.Preds = predicate.GenerateColumns(cfg.Columns, attrs, predicate.GeneratorConfig{Seed: cfg.Seed})
 	}
 	if len(cfg.Preds) == 0 {
 		return ErrNoPredicates
@@ -228,46 +214,30 @@ func applyDefaults(rel *dataset.Relation, cfg *DiscoverConfig) error {
 	return cfg.Validate()
 }
 
-// DiscoverWithConfig runs the configured strategy sequentially (Workers is
-// forced to 1) with an explicit configuration and no cancellation — the
-// pre-options API, now a thin shim over the strategy seam.
-//
-// Deprecated: use Discover with a context and options (wrap an existing
-// configuration with WithConfig).
-func DiscoverWithConfig(rel *dataset.Relation, cfg DiscoverConfig) (*DiscoverResult, error) {
-	cfg.Workers = 1
-	return discoverFor(context.Background(), rel, cfg)
-}
-
-// discoverPrep validates cfg against rel and builds the shared discovery
-// prelude: effective MinSupport/MaxNodes, the trainable tuple indices (rows
-// with non-null X and Y — null rows cannot be fit or checked and are the
-// imputation targets, not the training data) and the result skeleton with
-// the mean-of-Y fallback.
-func discoverPrep(rel *dataset.Relation, cfg *DiscoverConfig) (all []int, out *DiscoverResult, err error) {
-	rows, schema, err := dataSource(rel, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
+// discoverPrep validates cfg against its columns and builds the shared
+// discovery prelude: effective MinSupport/MaxNodes, the trainable row
+// indices (rows with non-null X and Y — null rows cannot be fit or checked
+// and are the imputation targets, not the training data) and the mean-of-Y
+// fallback over them.
+func discoverPrep(cfg *DiscoverConfig) (all []int, fallback float64, err error) {
+	cs := cfg.Columns
 	if cfg.Trainer == nil {
-		return nil, nil, ErrNoTrainer
+		return nil, 0, ErrNoTrainer
 	}
-	if cfg.RowScan && rel == nil {
-		return nil, nil, fmt.Errorf("%w: RowScan needs a Relation", ErrTuplesRequired)
-	}
-	if schema.Attr(cfg.YAttr).Kind != dataset.Numeric {
-		return nil, nil, ErrNonNumericTarget
+	if cs.Schema.Attr(cfg.YAttr).Kind != dataset.Numeric {
+		return nil, 0, ErrNonNumericTarget
 	}
 	for _, a := range cfg.XAttrs {
 		if a == cfg.YAttr {
-			return nil, nil, ErrTrivialTarget
+			return nil, 0, ErrTrivialTarget
 		}
 	}
 	for _, p := range cfg.Preds {
 		if p.Attr == cfg.YAttr {
-			return nil, nil, ErrPredicateOnTarget
+			return nil, 0, ErrPredicateOnTarget
 		}
 	}
+	rows := cs.Len()
 	if cfg.MinSupport <= 0 {
 		cfg.MinSupport = len(cfg.XAttrs) + 2
 	}
@@ -275,65 +245,30 @@ func discoverPrep(rel *dataset.Relation, cfg *DiscoverConfig) (all []int, out *D
 		cfg.MaxNodes = 64*rows + 4096
 	}
 
-	// Trainable rows and the mean-of-Y fallback, from whichever
-	// representation backs the run. Both branches visit rows in ascending
-	// order over identical raw values (the ColumnSet stores raw Nums under
-	// its null bits), so the fallback is bitwise-identical across them.
+	// Trainable rows and the mean-of-Y fallback, in ascending row order
+	// over the raw values the ColumnSet stores under its null bits.
 	all = make([]int, 0, rows)
-	if rel != nil {
-		for i, t := range rel.Tuples {
-			if t[cfg.YAttr].Null {
-				continue
-			}
-			ok := true
-			for _, a := range cfg.XAttrs {
-				if t[a].Null {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				all = append(all, i)
+row:
+	for i := 0; i < rows; i++ {
+		if cs.IsNull(cfg.YAttr, i) {
+			continue
+		}
+		for _, a := range cfg.XAttrs {
+			if cs.IsNull(a, i) {
+				continue row
 			}
 		}
-	} else {
-		cs := cfg.Columns
-		for i := 0; i < rows; i++ {
-			if cs.IsNull(cfg.YAttr, i) {
-				continue
-			}
-			ok := true
-			for _, a := range cfg.XAttrs {
-				if cs.IsNull(a, i) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				all = append(all, i)
-			}
-		}
+		all = append(all, i)
 	}
-	out = &DiscoverResult{Rules: &RuleSet{
-		Schema: schema,
-		XAttrs: append([]int(nil), cfg.XAttrs...),
-		YAttr:  cfg.YAttr,
-	}}
 	if len(all) > 0 {
 		var ysum float64
-		if rel != nil {
-			for _, i := range all {
-				ysum += rel.Tuples[i][cfg.YAttr].Num
-			}
-		} else {
-			ycol := cfg.Columns.Float(cfg.YAttr)
-			for _, i := range all {
-				ysum += ycol[i]
-			}
+		ycol := cs.Float(cfg.YAttr)
+		for _, i := range all {
+			ysum += ycol[i]
 		}
-		out.Rules.Fallback = ysum / float64(len(all))
+		fallback = ysum / float64(len(all))
 	}
-	return all, out, nil
+	return all, fallback, nil
 }
 
 // discTel holds the pre-resolved metric handles of one discovery run, so
@@ -342,7 +277,7 @@ func discoverPrep(rel *dataset.Relation, cfg *DiscoverConfig) (all []int, out *D
 type discTel struct {
 	nodes, trained, shared, shareTests, forced *telemetry.Counter
 	statReuse, cacheHits                       *telemetry.Counter
-	colsBuild, rowsScanned                     *telemetry.Counter
+	rowsScanned                                *telemetry.Counter
 	queueDepth                                 *telemetry.Gauge
 	trainTime, shareTime                       *telemetry.Histogram
 	scanWidth, filterSel                       *telemetry.Distribution
@@ -357,7 +292,6 @@ func newDiscTel(r *telemetry.Registry) discTel {
 		forced:      r.Counter(telemetry.MetricForcedRules),
 		statReuse:   r.Counter(telemetry.MetricStatReuse),
 		cacheHits:   r.Counter(telemetry.MetricCacheHits),
-		colsBuild:   r.Counter(telemetry.MetricColumnsBuild),
 		rowsScanned: r.Counter(telemetry.MetricFilterRowsScanned),
 		queueDepth:  r.Gauge(telemetry.MetricQueueDepth),
 		trainTime:   r.Histogram(telemetry.MetricTrainTime),
@@ -510,15 +444,16 @@ func latticeSeq(ctx context.Context, sub *Substrate) (*DiscoverResult, error) {
 }
 
 // DiscoverTargets runs the discovery engine once per target column, sharing
-// the config (the column-scalability workload of the paper's Figure 7).
-// cfg.YAttr is overridden per target, and each target goes through the same
-// defaulting as Discover: a nil ℙ derives the paper-default predicate space
-// for that target (the space depends on which column is the target, via
-// Reflexivity), and a nil Trainer or non-positive ρ_M take the documented
-// defaults. Targets appearing in cfg.XAttrs are rejected by the per-run
-// Reflexivity check. Cancellation is checked between targets and inside each
-// mine.
+// the config and one ColumnSet built at entry (the column-scalability
+// workload of the paper's Figure 7). cfg.YAttr is overridden per target, and
+// each target goes through the same defaulting as Discover: a nil ℙ derives
+// the paper-default predicate space for that target (the space depends on
+// which column is the target, via Reflexivity), and a nil Trainer or
+// non-positive ρ_M take the documented defaults. Targets appearing in
+// cfg.XAttrs are rejected by the per-run Reflexivity check. Cancellation is
+// checked between targets and inside each mine.
 func DiscoverTargets(ctx context.Context, rel *dataset.Relation, targets []int, cfg DiscoverConfig) (map[int]*RuleSet, error) {
+	columnsFor(rel, &cfg)
 	out := make(map[int]*RuleSet, len(targets))
 	for _, y := range targets {
 		if err := ctx.Err(); err != nil {
@@ -526,7 +461,7 @@ func DiscoverTargets(ctx context.Context, rel *dataset.Relation, targets []int, 
 		}
 		c := cfg
 		c.YAttr = y
-		if err := applyDefaults(rel, &c); err != nil {
+		if err := applyDefaults(&c); err != nil {
 			return nil, fmt.Errorf("core: target %d: %w", y, err)
 		}
 		res, err := discoverFor(ctx, rel, c)
@@ -610,33 +545,21 @@ func newSplitIndex(preds []predicate.Predicate) *splitIndex {
 }
 
 // partScan is the per-discovery scan engine: predicate filtering, SSE
-// scoring and split selection over tuple index vectors. The default engine
-// runs columnar — vectorized predicate.Filter sweeps and dense column reads
-// over a dataset.ColumnSet built once per discovery — while RowScan selects
-// the tuple-at-a-time reference path. Both paths are bitwise-identical by
-// construction: the ColumnSet stores raw cell values, selections stay in
-// tuple order, and every float accumulation runs in the same order
-// (categorical fans sum per-value SSE in sorted value order in both modes).
+// scoring and split selection over row index vectors, run columnar —
+// vectorized predicate.Filter sweeps and dense column reads over the run's
+// dataset.ColumnSet. Selections stay in row order and every float
+// accumulation runs in a fixed order (categorical fans sum per-value SSE in
+// sorted value order), so the output is deterministic; the tuple-at-a-time
+// reference in internal/verify reproduces it bitwise.
 type partScan struct {
-	rel  *dataset.Relation
 	cols *dataset.ColumnSet
-	row  bool // tuple-at-a-time reference path (DiscoverConfig.RowScan)
-	// Columnar-engine telemetry; nil handles no-op.
+	// Telemetry; nil handles no-op.
 	rowsScanned *telemetry.Counter
 	selectivity *telemetry.Distribution
 }
 
 // filterIdxs returns the subset of idxs satisfying p, preserving order.
 func (sc *partScan) filterIdxs(idxs []int, p predicate.Predicate) []int {
-	if sc.row {
-		var out []int
-		for _, i := range idxs {
-			if p.Sat(sc.rel.Tuples[i]) {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
 	out := p.Filter(sc.cols, idxs, nil)
 	sc.rowsScanned.Add(int64(len(idxs)))
 	if len(idxs) > 0 {
@@ -676,33 +599,21 @@ type splitCandidate struct {
 // topSplits scores every applicable split group and materializes the
 // children of the k best (Proposition 8's multi-split when k > 1).
 func (sc *partScan) topSplits(idxs []int, si *splitIndex, yattr, k int) [][]childPart {
-	rel := sc.rel
 	total := sc.sse(idxs, yattr)
 	var cands []splitCandidate
 
-	var yc []float64
-	if !sc.row {
-		yc = sc.cols.Float(yattr)
-	}
+	yc := sc.cols.Float(yattr)
 	for _, a := range si.numAttrs {
 		cuts := si.cuts[a]
 		// Sort the part once by the attribute value; prefix sums of y, y².
 		vals := make([]float64, len(idxs))
 		ys := make([]float64, len(idxs))
 		order := make([]int, len(idxs))
-		if sc.row {
-			for i, ti := range idxs {
-				order[i] = i
-				vals[i] = rel.Tuples[ti][a].Num
-				ys[i] = rel.Tuples[ti][yattr].Num
-			}
-		} else {
-			col := sc.cols.Float(a)
-			for i, ti := range idxs {
-				order[i] = i
-				vals[i] = col[ti]
-				ys[i] = yc[ti]
-			}
+		col := sc.cols.Float(a)
+		for i, ti := range idxs {
+			order[i] = i
+			vals[i] = col[ti]
+			ys[i] = yc[ti]
 		}
 		sort.Slice(order, func(i, j int) bool { return vals[order[i]] < vals[order[j]] })
 		sortedVals := make([]float64, len(order))
@@ -745,34 +656,28 @@ func (sc *partScan) topSplits(idxs []int, si *splitIndex, yattr, k int) [][]chil
 
 	// Categorical fans.
 	for _, a := range si.catOrder {
-		byValue := make(map[string][]int)
-		if sc.row {
-			for _, ti := range idxs {
-				byValue[rel.Tuples[ti][a].Str] = append(byValue[rel.Tuples[ti][a].Str], ti)
+		// Group by dictionary code, then name the groups: a null cell's
+		// NullCode maps to "", matching the Str of a null Value.
+		codes := sc.cols.Codes(a)
+		dict := sc.cols.Dict(a)
+		byCode := make(map[uint32][]int)
+		for _, ti := range idxs {
+			byCode[codes[ti]] = append(byCode[codes[ti]], ti)
+		}
+		byValue := make(map[string][]int, len(byCode))
+		for code, part := range byCode {
+			v := ""
+			if code != dataset.NullCode {
+				v = dict[code]
 			}
-		} else {
-			// Group by dictionary code, then name the groups: a null cell's
-			// NullCode maps to "", matching the Str of a null Value.
-			codes := sc.cols.Codes(a)
-			dict := sc.cols.Dict(a)
-			byCode := make(map[uint32][]int)
-			for _, ti := range idxs {
-				byCode[codes[ti]] = append(byCode[codes[ti]], ti)
-			}
-			for code, part := range byCode {
-				v := ""
-				if code != dataset.NullCode {
-					v = dict[code]
-				}
-				byValue[v] = part
-			}
+			byValue[v] = part
 		}
 		if len(byValue) < 2 {
 			continue
 		}
 		// The equality fan must cover every value present in D_C. Summing
 		// child SSEs in sorted value order — not map order — keeps the gain
-		// a deterministic float and bitwise-identical across scan modes.
+		// a deterministic float.
 		present := si.catValues[a]
 		values := make([]string, 0, len(byValue))
 		covered := true
@@ -833,36 +738,14 @@ func (sc *partScan) topSplits(idxs []int, si *splitIndex, yattr, k int) [][]chil
 	return out
 }
 
-// sse returns Σ (y − ȳ)² over the selected tuples' target values. Both scan
-// modes accumulate in idxs order over identical raw values, so the result is
-// bitwise-identical.
+// sse returns Σ (y − ȳ)² over the selected rows' target values, skipping
+// nulls, accumulated in idxs order.
 func (sc *partScan) sse(idxs []int, yattr int) float64 {
 	if len(idxs) == 0 {
 		return 0
 	}
 	var sum float64
 	n := 0
-	if sc.row {
-		rel := sc.rel
-		for _, i := range idxs {
-			if !rel.Tuples[i][yattr].Null {
-				sum += rel.Tuples[i][yattr].Num
-				n++
-			}
-		}
-		if n == 0 {
-			return 0
-		}
-		mean := sum / float64(n)
-		var s float64
-		for _, i := range idxs {
-			if !rel.Tuples[i][yattr].Null {
-				d := rel.Tuples[i][yattr].Num - mean
-				s += d * d
-			}
-		}
-		return s
-	}
 	col := sc.cols.Float(yattr)
 	nulls := sc.cols.Nulls(yattr)
 	if nulls == nil {
@@ -902,14 +785,19 @@ func (sc *partScan) sse(idxs []int, yattr int) float64 {
 // its predicates, rendered without fmt (this sits on the hot path of every
 // queue push). Callers pass the Normalize()d conjunction so that equivalent
 // spellings — redundant bounds accumulated along different refinement paths
-// — map to the same key.
+// — map to the same key. Fields are delimited and strings length-prefixed,
+// so distinct predicates never render alike (A11 ≤ 5 vs A1 > 45).
 func conjKey(c predicate.Conjunction) string {
 	parts := make([]string, len(c.Preds))
 	for i, p := range c.Preds {
 		var b []byte
 		b = strconv.AppendInt(b, int64(p.Attr), 10)
+		b = append(b, ':')
 		b = strconv.AppendInt(b, int64(p.Op), 10)
+		b = append(b, ':')
 		if p.Categorical {
+			b = strconv.AppendInt(b, int64(len(p.Str)), 10)
+			b = append(b, ':')
 			b = append(b, p.Str...)
 		} else {
 			b = strconv.AppendFloat(b, p.Num, 'g', -1, 64)

@@ -28,18 +28,16 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/crrlab/crr/internal/dataset"
 	"github.com/crrlab/crr/internal/predicate"
 	"github.com/crrlab/crr/internal/regress"
 )
 
 // hotLoop is the shared, read-only state of one discovery run's hot path.
 // Workers share it; per-worker scratch lives in partWorkspace. Parts are
-// materialized and scored against the run's columnar mirror (sc.cols), built
-// once; trainable rows have non-null X and Y, so per-node access is a dense
-// column gather with no null checks.
+// materialized and scored against the run's ColumnSet (cfg.Columns);
+// trainable rows have non-null X and Y, so per-node access is a dense column
+// gather with no null checks.
 type hotLoop struct {
-	rel   *dataset.Relation
 	cfg   *DiscoverConfig
 	si    *splitIndex
 	sc    *partScan
@@ -64,23 +62,13 @@ type hotLoop struct {
 	exact bool
 }
 
-func newHotLoop(rel *dataset.Relation, cfg *DiscoverConfig, si *splitIndex, all []int, tel discTel, exact bool) *hotLoop {
-	// An externally supplied columnar substrate (DiscoverColumns over an
-	// mmap'd store) is used as-is — no per-run build, no build-time charge.
+func newHotLoop(cfg *DiscoverConfig, si *splitIndex, tel discTel, exact bool) *hotLoop {
 	cols := cfg.Columns
-	if cols == nil {
-		start := time.Now()
-		cols = dataset.NewColumnSet(rel)
-		tel.colsBuild.Add(time.Since(start).Nanoseconds())
-	}
 	hl := &hotLoop{
-		rel: rel,
 		cfg: cfg,
 		si:  si,
 		sc: &partScan{
-			rel:         rel,
 			cols:        cols,
-			row:         cfg.RowScan,
 			rowsScanned: tel.rowsScanned,
 			selectivity: tel.filterSel,
 		},

@@ -215,29 +215,6 @@ func TestHotPathTelemetry(t *testing.T) {
 	}
 }
 
-// TestGramPathMatchesFullPassDiscovery is the engine-level byte-identity
-// check on the unit-test scale (the five-dataset comparison lives in
-// internal/experiments): discovery with the default Gram-capable trainer
-// must produce the same rules, in the same order, with weights within 1e-9,
-// as the same trainer wrapped in regress.FullPass.
-func TestGramPathMatchesFullPassDiscovery(t *testing.T) {
-	rel := piecewiseRelation(600, 0.2, 1)
-	cfg := discoverCfg(rel, 0.5)
-	fast, err := Discover(context.Background(), rel, WithConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Trainer = regress.FullPass{T: regress.LinearTrainer{}}
-	slow, err := Discover(context.Background(), rel, WithConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameRules(t, fast.Rules, slow.Rules, 1e-9)
-	if fast.Stats != slow.Stats {
-		t.Errorf("stats diverged: %+v vs %+v", fast.Stats, slow.Stats)
-	}
-}
-
 // assertSameRules requires structural identity (count, order, conditions,
 // bias) and model weights within tol.
 func assertSameRules(t *testing.T, a, b *RuleSet, tol float64) {

@@ -89,6 +89,8 @@ func Maintain(ctx context.Context, rel *dataset.Relation, s *RuleSet, newIdx []i
 	for _, ti := range retrain {
 		sub.Tuples = append(sub.Tuples, rel.Tuples[ti])
 	}
+	cfg.Columns = nil // the columns must describe sub, not a caller's data
+	columnsFor(sub, &cfg)
 	cfg.SeedModels = nil
 	for i := range out.Rules {
 		cfg.SeedModels = append(cfg.SeedModels, out.Rules[i].Model)

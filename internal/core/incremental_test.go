@@ -11,7 +11,7 @@ import (
 func TestMaintainSatisfiedTuplesNoChange(t *testing.T) {
 	rel := piecewiseRelation(400, 0.2, 1)
 	cfg := discoverCfg(rel, 0.5)
-	res, err := DiscoverWithConfig(rel, cfg)
+	res, err := Discover(context.Background(), rel, WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestMaintainSatisfiedTuplesNoChange(t *testing.T) {
 func TestMaintainWidensWithinRhoM(t *testing.T) {
 	rel := piecewiseRelation(400, 0.1, 3)
 	cfg := discoverCfg(rel, 0.5)
-	res, err := DiscoverWithConfig(rel, cfg)
+	res, err := Discover(context.Background(), rel, WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestMaintainWidensWithinRhoM(t *testing.T) {
 func TestMaintainDiscoversNewRegime(t *testing.T) {
 	rel := piecewiseRelation(400, 0.2, 4)
 	cfg := discoverCfg(rel, 0.5)
-	res, err := DiscoverWithConfig(rel, cfg)
+	res, err := Discover(context.Background(), rel, WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestMaintainDiscoversNewRegime(t *testing.T) {
 func TestMaintainSharesSeedModels(t *testing.T) {
 	rel := piecewiseRelation(400, 0.2, 6)
 	cfg := discoverCfg(rel, 0.5)
-	res, err := DiscoverWithConfig(rel, cfg)
+	res, err := Discover(context.Background(), rel, WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestMaintainSharesSeedModels(t *testing.T) {
 func TestMaintainNullTargetSkipped(t *testing.T) {
 	rel := piecewiseRelation(200, 0.2, 8)
 	cfg := discoverCfg(rel, 0.5)
-	res, err := DiscoverWithConfig(rel, cfg)
+	res, err := Discover(context.Background(), rel, WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ const DefaultMaxBias = 1.0
 type DiscoverOption func(*DiscoverConfig)
 
 // WithConfig replaces the entire configuration; later options still apply
-// on top. It is the migration path from the deprecated config entrypoints.
+// on top. It is how a caller that builds one DiscoverConfig value runs it.
 func WithConfig(cfg DiscoverConfig) DiscoverOption {
 	return func(c *DiscoverConfig) { *c = cfg }
 }

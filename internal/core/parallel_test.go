@@ -1,15 +1,20 @@
 package core
 
 import (
+	"context"
 	"testing"
+
+	"github.com/crrlab/crr/internal/dataset"
+	"github.com/crrlab/crr/internal/predicate"
+	"github.com/crrlab/crr/internal/regress"
 )
 
-func TestDiscoverParallelInvariants(t *testing.T) {
+func TestParallelInvariants(t *testing.T) {
 	rel := piecewiseRelation(800, 0.2, 1)
 	cfg := discoverCfg(rel, 0.5)
-	res, err := DiscoverParallel(rel, cfg, 4)
+	res, err := Discover(context.Background(), rel, WithConfig(cfg), WithWorkers(4))
 	if err != nil {
-		t.Fatalf("DiscoverParallel: %v", err)
+		t.Fatalf("Discover: %v", err)
 	}
 	if cov := res.Rules.Coverage(rel); cov != 1 {
 		t.Errorf("coverage = %v, want 1", cov)
@@ -18,7 +23,7 @@ func TestDiscoverParallelInvariants(t *testing.T) {
 		t.Error("parallel rules violated on training data")
 	}
 	// Quality matches the sequential result within a generous band.
-	seq, err := DiscoverWithConfig(rel, cfg)
+	seq, err := Discover(context.Background(), rel, WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,14 +34,14 @@ func TestDiscoverParallelInvariants(t *testing.T) {
 	}
 }
 
-func TestDiscoverParallelOneWorkerIsSequential(t *testing.T) {
+func TestParallelOneWorkerIsSequential(t *testing.T) {
 	rel := piecewiseRelation(300, 0.2, 2)
 	cfg := discoverCfg(rel, 0.5)
-	par, err := DiscoverParallel(rel, cfg, 1)
+	par, err := Discover(context.Background(), rel, WithConfig(cfg), WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := DiscoverWithConfig(rel, cfg)
+	seq, err := Discover(context.Background(), rel, WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +50,11 @@ func TestDiscoverParallelOneWorkerIsSequential(t *testing.T) {
 	}
 }
 
-func TestDiscoverParallelFuseShared(t *testing.T) {
+func TestParallelFuseShared(t *testing.T) {
 	rel := piecewiseRelation(800, 0.2, 3)
 	cfg := discoverCfg(rel, 0.5)
 	cfg.FuseShared = true
-	res, err := DiscoverParallel(rel, cfg, 4)
+	res, err := Discover(context.Background(), rel, WithConfig(cfg), WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,35 +70,39 @@ func TestDiscoverParallelFuseShared(t *testing.T) {
 	}
 }
 
-func TestDiscoverParallelValidation(t *testing.T) {
+func TestParallelValidation(t *testing.T) {
 	rel := piecewiseRelation(100, 0.2, 4)
 	cfg := discoverCfg(rel, 0.5)
-	cfg.Trainer = nil
-	if _, err := DiscoverParallel(rel, cfg, 4); err == nil {
-		t.Error("nil trainer accepted")
+	cfg.Preds = append(cfg.Preds, predicate.NumPred(1, predicate.Gt, 0))
+	if _, err := Discover(context.Background(), rel, WithConfig(cfg), WithWorkers(4)); err == nil {
+		t.Error("predicate on Y accepted")
 	}
 	cfg = discoverCfg(rel, 0.5)
 	cfg.XAttrs = []int{1}
-	if _, err := DiscoverParallel(rel, cfg, 4); err == nil {
+	if _, err := Discover(context.Background(), rel, WithConfig(cfg), WithWorkers(4)); err == nil {
 		t.Error("Y ∈ X accepted")
 	}
 }
 
-func TestDiscoverParallelEmpty(t *testing.T) {
-	rel := piecewiseRelation(0, 0.2, 5)
-	cfg := DiscoverConfig{XAttrs: []int{0}, YAttr: 1, RhoM: 1, Trainer: discoverCfg(piecewiseRelation(10, 0.1, 5), 0.5).Trainer}
-	res, err := DiscoverParallel(rel, cfg, 4)
+func TestParallelEmpty(t *testing.T) {
+	// No trainable rows: every target is null.
+	rel := dataset.NewRelation(lineSchema())
+	for i := 0; i < 10; i++ {
+		rel.MustAppend(dataset.Tuple{dataset.Num(float64(i)), dataset.Null(), dataset.Str("a")})
+	}
+	cfg := DiscoverConfig{XAttrs: []int{0}, YAttr: 1, RhoM: 1, Trainer: regress.LinearTrainer{}}
+	res, err := Discover(context.Background(), rel, WithConfig(cfg), WithWorkers(4))
 	if err != nil || res.Rules.NumRules() != 0 {
-		t.Errorf("empty parallel: %d rules, %v", res.Rules.NumRules(), err)
+		t.Fatalf("empty parallel: %v, %v", res, err)
 	}
 }
 
-func TestDiscoverParallelManyWorkersRace(t *testing.T) {
+func TestParallelManyWorkersRace(t *testing.T) {
 	// Stress the pool with more workers than work; run with -race in CI.
 	rel := piecewiseRelation(600, 0.2, 6)
 	cfg := discoverCfg(rel, 0.5)
 	for trial := 0; trial < 3; trial++ {
-		res, err := DiscoverParallel(rel, cfg, 16)
+		res, err := Discover(context.Background(), rel, WithConfig(cfg), WithWorkers(16))
 		if err != nil {
 			t.Fatal(err)
 		}

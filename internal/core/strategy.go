@@ -60,11 +60,9 @@ func Canceled(cause error) error { return canceled(cause) }
 // instead).
 type Substrate struct {
 	rel      *dataset.Relation // nil when the run is column-store-backed
-	schema   *dataset.Schema
-	rows     int
-	cfg      *DiscoverConfig // validated; MinSupport/MaxNodes defaulted
-	all      []int           // trainable rows (non-null X and Y), ascending
-	fallback float64         // mean of Y over the trainable rows
+	cfg      *DiscoverConfig   // validated; MinSupport/MaxNodes defaulted
+	all      []int             // trainable rows (non-null X and Y), ascending
+	fallback float64           // mean of Y over the trainable rows
 	tel      discTel
 
 	si      *splitIndex    // lazy
@@ -73,24 +71,19 @@ type Substrate struct {
 	kws     *partWorkspace // lazy: scratch for the kernel methods
 }
 
-// newSubstrate validates cfg against rel (mutating it to its effective
-// defaults) and prepares the run state shared by every strategy.
+// newSubstrate validates cfg against its columns (mutating it to its
+// effective defaults) and prepares the run state shared by every strategy.
+// rel is the relation the columns were built from, or nil.
 func newSubstrate(rel *dataset.Relation, cfg *DiscoverConfig) (*Substrate, error) {
-	all, out, err := discoverPrep(rel, cfg)
-	if err != nil {
-		return nil, err
-	}
-	rows, schema, err := dataSource(rel, cfg)
+	all, fallback, err := discoverPrep(cfg)
 	if err != nil {
 		return nil, err
 	}
 	return &Substrate{
 		rel:      rel,
-		schema:   schema,
-		rows:     rows,
 		cfg:      cfg,
 		all:      all,
-		fallback: out.Rules.Fallback,
+		fallback: fallback,
 		tel:      newDiscTel(cfg.Telemetry),
 	}, nil
 }
@@ -101,13 +94,12 @@ func newSubstrate(rel *dataset.Relation, cfg *DiscoverConfig) (*Substrate, error
 // row counting belongs on NumRows, which works either way.
 func (s *Substrate) Relation() *dataset.Relation { return s.rel }
 
-// Schema returns the schema of the data under discovery, whichever
-// representation backs it.
-func (s *Substrate) Schema() *dataset.Schema { return s.schema }
+// Schema returns the schema of the data under discovery.
+func (s *Substrate) Schema() *dataset.Schema { return s.cfg.Columns.Schema }
 
 // NumRows returns the total row count of the data under discovery (not just
-// the trainable rows), whichever representation backs it.
-func (s *Substrate) NumRows() int { return s.rows }
+// the trainable rows).
+func (s *Substrate) NumRows() int { return s.cfg.Columns.Len() }
 
 // Config returns the effective configuration: defaults resolved, MinSupport
 // and MaxNodes at their documented fallbacks. The slices (XAttrs, Preds,
@@ -125,19 +117,18 @@ func (s *Substrate) TrainableRows() []int { return s.all }
 // and serving layers.
 func (s *Substrate) NewResult() *DiscoverResult {
 	return &DiscoverResult{Rules: &RuleSet{
-		Schema:   s.schema,
+		Schema:   s.cfg.Columns.Schema,
 		XAttrs:   append([]int(nil), s.cfg.XAttrs...),
 		YAttr:    s.cfg.YAttr,
 		Fallback: s.fallback,
 	}}
 }
 
-// Columns returns the discovery-wide column cache (built lazily, once).
-func (s *Substrate) Columns() *dataset.ColumnSet { return s.hot(true).sc.cols }
+// Columns returns the run's ColumnSet, which every kernel reads.
+func (s *Substrate) Columns() *dataset.ColumnSet { return s.cfg.Columns }
 
 // Filter returns the subset of idxs satisfying p, preserving order, through
-// the run's scan engine (vectorized columnar sweep, or the row-scan
-// reference path under DiscoverConfig.RowScan).
+// the run's vectorized columnar sweep.
 func (s *Substrate) Filter(idxs []int, p predicate.Predicate) []int {
 	return s.hot(true).sc.filterIdxs(idxs, p)
 }
@@ -230,12 +221,12 @@ func (s *Substrate) splitIdx() *splitIndex {
 func (s *Substrate) hot(exact bool) *hotLoop {
 	if exact {
 		if s.hotEx == nil {
-			s.hotEx = newHotLoop(s.rel, s.cfg, s.splitIdx(), s.all, s.tel, true)
+			s.hotEx = newHotLoop(s.cfg, s.splitIdx(), s.tel, true)
 		}
 		return s.hotEx
 	}
 	if s.hotFast == nil {
-		s.hotFast = newHotLoop(s.rel, s.cfg, s.splitIdx(), s.all, s.tel, false)
+		s.hotFast = newHotLoop(s.cfg, s.splitIdx(), s.tel, false)
 	}
 	return s.hotFast
 }
@@ -278,9 +269,9 @@ func strategyOf(cfg *DiscoverConfig) Strategy {
 }
 
 // discoverFor is the single entry path of the discovery engine: every public
-// entrypoint (Discover, DiscoverTargets, Maintain, the deprecated config
-// wrappers) funnels a validated configuration through here, so strategy
-// selection and substrate preparation happen in exactly one place.
+// entrypoint (Discover, DiscoverColumns, DiscoverTargets, Maintain) funnels a
+// configuration with its Columns set through here, so strategy selection and
+// substrate preparation happen in exactly one place.
 func discoverFor(ctx context.Context, rel *dataset.Relation, cfg DiscoverConfig) (*DiscoverResult, error) {
 	strat := strategyOf(&cfg)
 	sub, err := newSubstrate(rel, &cfg)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"github.com/crrlab/crr/internal/dataset"
@@ -66,7 +67,7 @@ func TestRepair(t *testing.T) {
 
 func TestViolationsAgreeWithHolds(t *testing.T) {
 	rel := piecewiseRelation(300, 0.2, 5)
-	res, err := DiscoverWithConfig(rel, discoverCfg(rel, 0.5))
+	res, err := Discover(context.Background(), rel, WithConfig(discoverCfg(rel, 0.5)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,8 @@ import "sort"
 // it carried (0 for Null()) and a null categorical cell maps to NullCode.
 // That choice makes every columnar consumer bitwise-identical to the
 // tuple-at-a-time reference path it replaces, which the parity harness
-// (crrbench -compare, the property tests) asserts.
+// (crrbench -compare against verify.ReferenceDiscover, the property tests)
+// asserts.
 
 // NullCode marks a null categorical cell in a code column. It is never a
 // valid dictionary code, so equality filters skip nulls without a bitmap

@@ -11,37 +11,31 @@ import (
 	"github.com/crrlab/crr/internal/predicate"
 	"github.com/crrlab/crr/internal/regress"
 	"github.com/crrlab/crr/internal/telemetry"
+	"github.com/crrlab/crr/internal/verify"
 )
 
-// CompareRow is one before/after measurement of the discovery hot path on a
-// dataset: the same sequential mine run with the sufficient-statistics fast
-// path (the default), with it disabled via regress.FullPass, and with the
-// columnar scan engine swapped for the tuple-at-a-time reference path
-// (DiscoverConfig.RowScan).
+// CompareRow is one engine-vs-reference measurement of discovery on a
+// dataset: the same sequential mine run by the engine (columnar scans, Gram
+// fits, single-pass share scans) and by verify.ReferenceDiscover (tuple
+// scans, design-matrix fits, one ShareTest per model).
 type CompareRow struct {
 	Dataset string
 	Rows    int
-	// FastWall/FullWall are the discovery wall times with and without the
-	// fast path; RowWall is the fast path re-run on the tuple-at-a-time
-	// reference scan instead of the columnar engine.
-	FastWall, FullWall, RowWall time.Duration
-	// Trained is the number of Line-13 fits (identical in both runs when
-	// Identical holds); StatReuse counts how many of the fast run's fits the
-	// Gram path served.
+	// EngineWall/RefWall are the discovery wall times of the engine and of
+	// the reference.
+	EngineWall, RefWall time.Duration
+	// Trained is the number of Line-13 fits; StatReuse counts how many of
+	// the engine's fits the Gram path served.
 	Trained   int
 	StatReuse int64
 	// ScanWidth is the mean number of models per single-pass share scan.
 	ScanWidth float64
-	// RuleCount is the discovered rule count; Identical reports that both
-	// runs produced structurally identical output (same rules, same order,
-	// same conditions, weights within 1e-9) — the hot path's correctness
-	// contract.
+	// RuleCount is the discovered rule count; Bitwise reports that the
+	// engine and the reference produced identical rule sets (same rules,
+	// order, conditions and ρ, weights compared with tolerance 0) — the
+	// engine's correctness contract.
 	RuleCount int
-	Identical bool
-	// Bitwise reports that the columnar engine and the row-scan reference
-	// produced byte-identical rule sets (weights compared with tol 0) — the
-	// columnar execution core's parity contract.
-	Bitwise bool
+	Bitwise   bool
 }
 
 // hotPathSpecs are the five synthetic evaluation datasets the comparison
@@ -50,12 +44,9 @@ func hotPathSpecs() []DatasetSpec {
 	return []DatasetSpec{BirdMapSpec(), AirQualitySpec(), ElectricitySpec(), TaxSpec(), AbaloneSpec()}
 }
 
-// HotPathCompare runs the before/after comparison of the discovery hot path
-// on the five evaluation datasets: the default trainer (Gram fast path,
-// column cache, single-pass share scan all active) against the same trainer
-// wrapped in regress.FullPass, which re-fits every part from its design
-// matrix. Output equality is checked structurally with weights within 1e-9;
-// the sequential engine is used so rule order is deterministic.
+// HotPathCompare runs the engine against verify.ReferenceDiscover on the
+// five evaluation datasets with the sequential engine, so rule order is
+// deterministic, and checks their output for bitwise identity.
 func HotPathCompare(ctx context.Context, scale float64) ([]CompareRow, error) {
 	rows := make([]CompareRow, 0, 5)
 	for _, spec := range hotPathSpecs() {
@@ -75,53 +66,34 @@ func HotPathCompare(ctx context.Context, scale float64) ([]CompareRow, error) {
 			Trainer: regress.LinearTrainer{},
 		}
 
-		fastReg := telemetry.New()
-		cfg.Telemetry = fastReg
-		var fast *core.DiscoverResult
+		reg := telemetry.New()
+		var engine *core.DiscoverResult
 		var err error
-		fastWall := eval.Timed(func() {
-			fast, err = core.Discover(ctx, rel, core.WithConfig(cfg))
+		engineWall := eval.Timed(func() {
+			engine, err = core.Discover(ctx, rel, core.WithConfig(cfg), core.WithTelemetry(reg))
 		})
 		if err != nil {
-			return nil, fmt.Errorf("compare %s (fast): %w", spec.Name, err)
+			return nil, fmt.Errorf("compare %s (engine): %w", spec.Name, err)
 		}
-
-		cfg.Trainer = regress.FullPass{T: regress.LinearTrainer{}}
-		cfg.Telemetry = nil
-		var full *core.DiscoverResult
-		fullWall := eval.Timed(func() {
-			full, err = core.Discover(ctx, rel, core.WithConfig(cfg))
+		var ref *core.DiscoverResult
+		refWall := eval.Timed(func() {
+			ref, err = verify.ReferenceDiscover(ctx, rel, cfg)
 		})
 		if err != nil {
-			return nil, fmt.Errorf("compare %s (full): %w", spec.Name, err)
+			return nil, fmt.Errorf("compare %s (reference): %w", spec.Name, err)
 		}
 
-		// Third run: the fast trainer again, but on the tuple-at-a-time
-		// reference scan. The columnar engine must be bitwise-identical to it
-		// (tol 0), not just structurally equal.
-		cfg.Trainer = regress.LinearTrainer{}
-		cfg.RowScan = true
-		var rowscan *core.DiscoverResult
-		rowWall := eval.Timed(func() {
-			rowscan, err = core.Discover(ctx, rel, core.WithConfig(cfg))
-		})
-		if err != nil {
-			return nil, fmt.Errorf("compare %s (rowscan): %w", spec.Name, err)
-		}
-
-		snap := fastReg.Snapshot()
+		snap := reg.Snapshot()
 		rows = append(rows, CompareRow{
-			Dataset:   spec.Name,
-			Rows:      rel.Len(),
-			FastWall:  fastWall,
-			FullWall:  fullWall,
-			RowWall:   rowWall,
-			Trained:   fast.Stats.ModelsTrained,
-			StatReuse: snap.Counters[telemetry.MetricStatReuse],
-			ScanWidth: snap.Distributions[telemetry.MetricShareScanWidth].Mean(),
-			RuleCount: fast.Rules.NumRules(),
-			Identical: SameRules(fast.Rules, full.Rules, 1e-9),
-			Bitwise:   SameRules(fast.Rules, rowscan.Rules, 0),
+			Dataset:    spec.Name,
+			Rows:       rel.Len(),
+			EngineWall: engineWall,
+			RefWall:    refWall,
+			Trained:    engine.Stats.ModelsTrained,
+			StatReuse:  snap.Counters[telemetry.MetricStatReuse],
+			ScanWidth:  snap.Distributions[telemetry.MetricShareScanWidth].Mean(),
+			RuleCount:  engine.Rules.NumRules(),
+			Bitwise:    SameRules(engine.Rules, ref.Rules, 0) && engine.Stats == ref.Stats,
 		})
 	}
 	return rows, nil
@@ -151,25 +123,25 @@ func SameRules(a, b *core.RuleSet, tol float64) bool {
 }
 
 // RenderCompareRows writes the comparison as an aligned table with a
-// speedup column, the output of crrbench -exp compare.
+// speedup column, the output of crrbench -compare.
 func RenderCompareRows(w io.Writer, rows []CompareRow) error {
-	t := eval.NewTable("[compare] discovery hot path: sufficient statistics vs full pass vs row scan",
-		"dataset", "rows", "fast", "full-pass", "row-scan", "speedup", "trained", "stat-reuse", "scan-width", "#rules", "identical", "bitwise")
+	t := eval.NewTable("[compare] discovery: engine vs tuple-scan reference",
+		"dataset", "rows", "engine", "reference", "speedup", "trained", "stat-reuse", "scan-width", "#rules", "bitwise")
 	for _, r := range rows {
 		speedup := "n/a"
-		if r.FastWall > 0 {
-			speedup = fmt.Sprintf("%.2fx", float64(r.FullWall)/float64(r.FastWall))
+		if r.EngineWall > 0 {
+			speedup = fmt.Sprintf("%.2fx", float64(r.RefWall)/float64(r.EngineWall))
 		}
-		t.AddRowf(r.Dataset, r.Rows, r.FastWall, r.FullWall, r.RowWall, speedup,
-			r.Trained, r.StatReuse, fmt.Sprintf("%.1f", r.ScanWidth), r.RuleCount, r.Identical, r.Bitwise)
+		t.AddRowf(r.Dataset, r.Rows, r.EngineWall, r.RefWall, speedup,
+			r.Trained, r.StatReuse, fmt.Sprintf("%.1f", r.ScanWidth), r.RuleCount, r.Bitwise)
 	}
 	return t.Render(w)
 }
 
 // CompareHotPath adapts HotPathCompare to the experiment registry's row
 // shape so `crrbench -exp compare` composes with -format csv like every
-// other experiment: the fast run maps to method "CRR" and the full pass to
-// "CRR-fullpass", with learn time carrying the discovery wall.
+// other experiment: the engine maps to method "CRR" and the reference to
+// "CRR-reference", with learn time carrying the discovery wall.
 func CompareHotPath(ctx context.Context, scale float64) ([]Row, error) {
 	cmp, err := HotPathCompare(ctx, scale)
 	if err != nil {
@@ -181,23 +153,15 @@ func CompareHotPath(ctx context.Context, scale float64) ([]Row, error) {
 			Row{
 				Experiment: "compare", Dataset: c.Dataset, Method: "CRR",
 				Param: "rows", Value: float64(c.Rows),
-				Learn: c.FastWall, Rules: c.RuleCount, Trained: c.Trained,
+				Learn: c.EngineWall, Rules: c.RuleCount, Trained: c.Trained,
 			},
 			Row{
-				Experiment: "compare", Dataset: c.Dataset, Method: "CRR-fullpass",
+				Experiment: "compare", Dataset: c.Dataset, Method: "CRR-reference",
 				Param: "rows", Value: float64(c.Rows),
-				Learn: c.FullWall, Rules: c.RuleCount, Trained: c.Trained,
-			},
-			Row{
-				Experiment: "compare", Dataset: c.Dataset, Method: "CRR-rowscan",
-				Param: "rows", Value: float64(c.Rows),
-				Learn: c.RowWall, Rules: c.RuleCount, Trained: c.Trained,
+				Learn: c.RefWall, Rules: c.RuleCount, Trained: c.Trained,
 			})
-		if !c.Identical {
-			return nil, fmt.Errorf("compare %s: fast and full-pass output diverged", c.Dataset)
-		}
 		if !c.Bitwise {
-			return nil, fmt.Errorf("compare %s: columnar and row-scan output not bitwise-identical", c.Dataset)
+			return nil, fmt.Errorf("compare %s: engine and reference output not bitwise-identical", c.Dataset)
 		}
 	}
 	return rows, nil

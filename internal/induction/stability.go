@@ -99,6 +99,7 @@ func (s Stability) Induce(ctx context.Context, sub *core.Substrate) (*core.Disco
 	repCfg.Workers = 1 // replicate output must be deterministic
 	repCfg.Telemetry = nil
 	repCfg.SeedModels = nil
+	repCfg.Columns = nil // each replicate mines its own bootstrap relation
 	for i := 0; i < b; i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, core.Canceled(err)

@@ -172,29 +172,3 @@ func TestTrainGramUnderdetermined(t *testing.T) {
 		t.Errorf("underdetermined gram err = %v, want ErrGramUnsupported", err)
 	}
 }
-
-// TestFullPassWrapper pins that FullPass hides the fast path: it trains
-// identically but does not satisfy GramTrainer, which is what the
-// before/after comparison mode relies on.
-func TestFullPassWrapper(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	x, y := randomSample(rng, 25, 2)
-	wrapped := FullPass{T: LinearTrainer{}}
-	if _, ok := interface{}(wrapped).(GramTrainer); ok {
-		t.Fatal("FullPass must not implement GramTrainer")
-	}
-	if wrapped.Name() != (LinearTrainer{}).Name() {
-		t.Errorf("Name = %q", wrapped.Name())
-	}
-	a, err := wrapped.Train(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := LinearTrainer{}.Train(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Equal(b, 0) {
-		t.Error("FullPass changed the fit")
-	}
-}

@@ -41,19 +41,6 @@ type GramTrainer interface {
 	TrainGram(g *Gram) (Model, error)
 }
 
-// FullPass wraps a trainer so that engines cannot reach a sufficient-
-// statistics fast path through it: the wrapper deliberately does not
-// implement GramTrainer. It is the reference configuration for before/after
-// benchmarking (crrbench -compare) and for cross-checking the fast path in
-// tests.
-type FullPass struct{ T Trainer }
-
-// Train implements Trainer by delegating.
-func (f FullPass) Train(x [][]float64, y []float64) (Model, error) { return f.T.Train(x, y) }
-
-// Name implements Trainer by delegating.
-func (f FullPass) Name() string { return f.T.Name() }
-
 // ErrNoData is returned when Train receives an empty sample.
 var ErrNoData = errors.New("regress: empty training sample")
 

@@ -185,6 +185,10 @@ func (r *Router) logf(format string, args ...any) {
 // Handler returns the router's HTTP handler.
 func (r *Router) Handler() http.Handler { return r.mux }
 
+// RequestTimeout returns the effective per-request forwarding deadline
+// (Config.RequestTimeout after defaulting).
+func (r *Router) RequestTimeout() time.Duration { return r.cfg.RequestTimeout }
+
 // tenantOf resolves the tenant a request addresses: /t/{tenant}/... wins,
 // then the X-CRR-Tenant header, then serve.DefaultTenant. The returned path
 // is the node-side path (tenant prefix stripped — the tenant travels in the

@@ -12,7 +12,6 @@ import (
 
 	"github.com/crrlab/crr/internal/core"
 	"github.com/crrlab/crr/internal/dataset"
-	"github.com/crrlab/crr/internal/experiments"
 	"github.com/crrlab/crr/internal/predicate"
 	"github.com/crrlab/crr/internal/regress"
 	"github.com/crrlab/crr/internal/wire"
@@ -60,8 +59,52 @@ func encodeWireBatch(t testing.TB, rel *dataset.Relation, opts map[string]string
 	return buf.Bytes()
 }
 
+// evalSpec is one evaluation generator with the regression signature and
+// bias bound the experiments use for it. (This package cannot import
+// internal/experiments: that package depends on internal/verify, which
+// depends on serve.)
+type evalSpec struct {
+	Name      string
+	Gen       func(n int) *dataset.Relation
+	XAttrs    []int
+	YAttr     int
+	CondAttrs []int
+	RhoM      float64
+}
+
+// evalSpecs returns the five evaluation generators.
+func evalSpecs() []evalSpec {
+	return []evalSpec{
+		{"Tax", func(n int) *dataset.Relation {
+			c := dataset.DefaultTaxConfig()
+			c.Rows = n
+			return dataset.GenerateTax(c)
+		}, []int{0}, 4, []int{1, 2}, 60},
+		{"Electricity", func(n int) *dataset.Relation {
+			c := dataset.DefaultElectricityConfig()
+			c.Rows = n
+			return dataset.GenerateElectricity(c)
+		}, []int{0}, 1, []int{0}, 0.5},
+		{"Abalone", func(n int) *dataset.Relation {
+			c := dataset.DefaultAbaloneConfig()
+			c.Rows = n
+			return dataset.GenerateAbalone(c)
+		}, []int{1}, 8, []int{0, 1}, 0.5},
+		{"AirQuality", func(n int) *dataset.Relation {
+			c := dataset.DefaultAirQualityConfig()
+			c.Rows = n
+			return dataset.GenerateAirQuality(c)
+		}, []int{0}, 1, []int{0}, 1},
+		{"BirdMap", func(n int) *dataset.Relation {
+			c := dataset.DefaultBirdMapConfig()
+			c.Rows = n
+			return dataset.GenerateBirdMap(c)
+		}, []int{3}, 0, []int{3, 2}, 1},
+	}
+}
+
 // specRules mines a small rule set for one evaluation dataset.
-func specRules(t *testing.T, spec experiments.DatasetSpec, rows int) *core.RuleSet {
+func specRules(t *testing.T, spec evalSpec, rows int) *core.RuleSet {
 	t.Helper()
 	rel := spec.Gen(rows)
 	preds := predicate.Generate(rel, spec.CondAttrs, predicate.GeneratorConfig{
@@ -88,10 +131,7 @@ func specRules(t *testing.T, spec experiments.DatasetSpec, rows int) *core.RuleS
 // columnar request bitwise-identically to the JSON request and to the
 // in-process columnar classifier — explain metadata included.
 func TestBinaryPredictParity(t *testing.T) {
-	for _, spec := range []experiments.DatasetSpec{
-		experiments.TaxSpec(), experiments.ElectricitySpec(), experiments.AbaloneSpec(),
-		experiments.AirQualitySpec(), experiments.BirdMapSpec(),
-	} {
+	for _, spec := range evalSpecs() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			rules := specRules(t, spec, 500)

@@ -379,3 +379,45 @@ func TestReloadFromPath(t *testing.T) {
 		t.Error("corrupt reload replaced the served artifact")
 	}
 }
+
+// TestSlowHeaderClientDropped: a client that sends half a request header
+// and then stalls holds no in-flight slot, so the server must bound it on
+// its own — the connection is closed once the request deadline passes.
+func TestSlowHeaderClientDropped(t *testing.T) {
+	_, rules := taxRules(t, 200)
+	const timeout = 200 * time.Millisecond
+	srv, err := NewFromRuleSet(Config{RequestTimeout: timeout}, rules, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, done := startOnListener(t, srv)
+	defer func() {
+		srv.Close()
+		<-done
+	}()
+
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("POST /v1/predict HTTP/1.1\r\nHost: x\r\nContent-")); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(5 * time.Second))
+	// The server either closes silently or answers 408 and closes; either
+	// way the read drains to EOF instead of hitting the client deadline.
+	buf := make([]byte, 512)
+	for {
+		if _, err := conn.Read(buf); err != nil {
+			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				t.Fatalf("connection still open after %v", time.Since(start))
+			}
+			break
+		}
+	}
+	if held := time.Since(start); held < timeout/2 || held > timeout+time.Second {
+		t.Fatalf("connection closed after %v, want about %v", held, timeout)
+	}
+}

@@ -54,6 +54,10 @@ import (
 	"github.com/crrlab/crr/internal/telemetry"
 )
 
+// IdleTimeout is how long a keep-alive connection may sit between requests
+// before the server closes it.
+const IdleTimeout = 2 * time.Minute
+
 // Config parameterizes a Server. The zero value of every optional field is
 // replaced by the default documented on it.
 type Config struct {
@@ -223,7 +227,14 @@ func newServer(cfg Config) (*Server, error) {
 	}
 	s.routes()
 	s.root = s.rootHandler()
-	s.http = &http.Server{Handler: s.root}
+	s.http = &http.Server{
+		Handler: s.root,
+		// A client must finish its request headers within the request
+		// deadline: connections still reading headers hold no in-flight
+		// slot, so without this bound slow-header clients pile up unchecked.
+		ReadHeaderTimeout: cfg.RequestTimeout,
+		IdleTimeout:       IdleTimeout,
+	}
 	return s, nil
 }
 

@@ -10,50 +10,55 @@ import (
 	"github.com/crrlab/crr/internal/dataset"
 )
 
-// Cross-engine oracles: the discovery matrix over the four engine modes and
-// the row-vs-columnar parity checks of every classification surface.
+// Cross-engine oracles: the discovery matrix (engine against the
+// tuple-at-a-time reference) and the row-vs-columnar parity checks of every
+// classification surface.
 
-// discoveryMatrix mines the target in all four engine modes and checks the
-// engines against each other:
+// discoveryMatrix mines the target with the sequential and the parallel
+// engine and with ReferenceDiscover, and checks them against each other:
 //
-//   - seq-col vs seq-row must be bitwise identical (the columnar engine's
-//     parity contract).
-//   - The parallel modes are deterministic only as a coverage (model
-//     sharing depends on pop order), so they are checked semantically:
-//     every trainable row covered, every rule satisfied by the data.
+//   - The sequential engine must match the reference bitwise (rules, ρ,
+//     weights at tolerance 0) and in its DiscoverStats, and so must
+//     DiscoverColumns over the relation's ColumnSet.
+//   - The parallel engine is deterministic only as a coverage (model
+//     sharing depends on pop order), so it — like the other two — is
+//     checked semantically: every trainable row covered, every rule
+//     satisfied by the data.
 //
-// The sequential columnar result — the canonical engine — is returned for
-// the downstream oracles.
+// The sequential engine's result is returned for the downstream oracles.
 func (rn *runner) discoveryMatrix(ctx context.Context, t Target) (*core.RuleSet, error) {
-	type mode struct {
-		name    string
-		rowScan bool
-		workers int
+	cfg := baseConfig(t, t.Rel, rn.opts.PredSize)
+	seq, err := core.Discover(ctx, t.Rel, core.WithConfig(cfg), core.WithWorkers(1))
+	if err != nil {
+		return nil, fmt.Errorf("discover seq-col: %w", err)
 	}
-	modes := []mode{
-		{"seq-col", false, 1},
-		{"seq-row", true, 1},
-		{"par-col", false, rn.opts.Workers},
-		{"par-row", true, rn.opts.Workers},
+	par, err := core.Discover(ctx, t.Rel, core.WithConfig(cfg), core.WithWorkers(rn.opts.Workers))
+	if err != nil {
+		return nil, fmt.Errorf("discover par-col: %w", err)
 	}
-	results := make(map[string]*core.RuleSet, len(modes))
-	for _, m := range modes {
-		cfg := baseConfig(t, t.Rel, rn.opts.PredSize)
-		cfg.RowScan = m.rowScan
-		cfg.Workers = m.workers
-		res, err := core.Discover(ctx, t.Rel, core.WithConfig(cfg))
-		if err != nil {
-			return nil, fmt.Errorf("discover %s: %w", m.name, err)
-		}
-		results[m.name] = res.Rules
+	cols, err := core.DiscoverColumns(ctx, dataset.NewColumnSet(t.Rel), core.WithConfig(cfg))
+	if err != nil {
+		return nil, fmt.Errorf("discover columns: %w", err)
+	}
+	ref, err := ReferenceDiscover(ctx, t.Rel, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("reference discovery: %w", err)
 	}
 
-	rn.check("discover/seq-bitwise", diffRuleSets(results["seq-col"], results["seq-row"]))
+	rn.check("discover/seq-bitwise", diffRuleSets(seq.Rules, ref.Rules))
+	detail := ""
+	if seq.Stats != ref.Stats {
+		detail = fmt.Sprintf("engine %+v vs reference %+v", seq.Stats, ref.Stats)
+	}
+	rn.check("discover/seq-stats", detail)
+	rn.check("discover/columns-bitwise", diffRuleSets(cols.Rules, ref.Rules))
 
 	trainable := trainableRows(t.Rel, t.XAttrs, t.YAttr)
-	for _, m := range modes {
-		rules := results[m.name]
-		_, covered := rules.PredictBatch(t.Rel)
+	for _, m := range []struct {
+		name  string
+		rules *core.RuleSet
+	}{{"seq-col", seq.Rules}, {"par-col", par.Rules}, {"reference", ref.Rules}} {
+		_, covered := m.rules.PredictBatch(t.Rel)
 		detail := ""
 		for _, ri := range trainable {
 			if !covered[ri] {
@@ -64,14 +69,14 @@ func (rn *runner) discoveryMatrix(ctx context.Context, t Target) (*core.RuleSet,
 		rn.check("discover/coverage/"+m.name, detail)
 
 		detail = ""
-		if vs := core.Violations(t.Rel, rules); len(vs) > 0 {
+		if vs := core.Violations(t.Rel, m.rules); len(vs) > 0 {
 			v := vs[0]
 			detail = fmt.Sprintf("rule %d violated by row %d: |%g - %g| > ρ+slack",
 				v.RuleIndex, v.TupleIndex, v.Observed, v.Predicted)
 		}
 		rn.check("discover/holds/"+m.name, detail)
 	}
-	return results["seq-col"], nil
+	return seq.Rules, nil
 }
 
 // diffRuleSets structurally and bitwise compares two rule sets, returning ""

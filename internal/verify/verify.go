@@ -1,14 +1,15 @@
 // Package verify is the differential-testing and invariant-checking
 // subsystem of the CRR engine. The repo carries several independent
-// execution paths that must agree — sequential vs parallel discovery,
-// columnar vs tuple-at-a-time scans, the interval-indexed Predict vs a
+// execution paths that must agree — the discovery engine vs the plain
+// tuple-at-a-time ReferenceDiscover, sequential vs parallel discovery,
+// columnar vs row-wise classification, the interval-indexed Predict vs a
 // linear rule scan, in-process classification vs the served HTTP endpoints,
 // and the codec round-trip — plus a compaction pass whose contract is "every
 // rewrite is a sound inference". This package checks all of it mechanically:
 //
-//   - Cross-engine oracles: discovery in all four engine modes
-//     (sequential/parallel × columnar/row-scan) with bitwise diffing where
-//     determinism is contractual, Predict/PredictBatch/Violations/Explain
+//   - Cross-engine oracles: sequential and parallel discovery against
+//     ReferenceDiscover, with bitwise diffing where determinism is
+//     contractual, Predict/PredictBatch/Violations/Explain
 //     columnar-vs-rowwise, and served endpoints vs in-process results.
 //   - Inference soundness: every CompactStats application (Translation,
 //     Fusion, Implied drop) is captured through CompactOptions.Trace and
@@ -200,7 +201,7 @@ func (rn *runner) runTarget(ctx context.Context, t Target) (*DatasetReport, erro
 	rn.target = t
 	rn.cur = &DatasetReport{Dataset: t.Name, Rows: t.Rel.Len()}
 
-	rn.logf("[%s] discovery matrix (4 engine modes)", t.Name)
+	rn.logf("[%s] discovery matrix (engine vs reference)", t.Name)
 	rules, err := rn.discoveryMatrix(ctx, t)
 	if err != nil {
 		return nil, err
@@ -263,7 +264,8 @@ func (rn *runner) runTarget(ctx context.Context, t Target) (*DatasetReport, erro
 
 // baseConfig assembles the discovery configuration the oracles share: the
 // paper-default binary predicate space over the target's condition
-// attributes and an OLS trainer, on the sequential columnar engine.
+// attributes and an OLS trainer, on the sequential engine — a configuration
+// ReferenceDiscover models.
 func baseConfig(t Target, rel *dataset.Relation, predSize int) core.DiscoverConfig {
 	preds := predicate.Generate(rel, t.CondAttrs, predicate.GeneratorConfig{
 		Kind: predicate.Binary, Size: predSize,

@@ -1,4 +1,4 @@
-package verify
+package verify_test
 
 import (
 	"context"
@@ -9,12 +9,13 @@ import (
 	"github.com/crrlab/crr/internal/dataset"
 	"github.com/crrlab/crr/internal/experiments"
 	"github.com/crrlab/crr/internal/telemetry"
+	"github.com/crrlab/crr/internal/verify"
 )
 
 // targetFromSpec builds a small verification target from an experiment
 // dataset spec.
-func targetFromSpec(spec experiments.DatasetSpec, rows int) Target {
-	return Target{
+func targetFromSpec(spec experiments.DatasetSpec, rows int) verify.Target {
+	return verify.Target{
 		Name:       spec.Name,
 		Rel:        spec.Gen(rows),
 		XAttrs:     spec.XAttrs,
@@ -29,7 +30,7 @@ func targetFromSpec(spec experiments.DatasetSpec, rows int) Target {
 // small BirdMap slice and expects zero divergences.
 func TestRunBirdMap(t *testing.T) {
 	reg := telemetry.New()
-	rep, err := Run(context.Background(), []Target{targetFromSpec(experiments.BirdMapSpec(), 400)}, Options{
+	rep, err := verify.Run(context.Background(), []verify.Target{targetFromSpec(experiments.BirdMapSpec(), 400)}, verify.Options{
 		Seed:      1,
 		Telemetry: reg,
 		Logf:      t.Logf,
@@ -59,7 +60,7 @@ func TestRunBirdMap(t *testing.T) {
 // TestRunTaxQuick covers a categorical-condition dataset with the expensive
 // suites skipped (the path cmd/crrverify -quick exercises).
 func TestRunTaxQuick(t *testing.T) {
-	rep, err := Run(context.Background(), []Target{targetFromSpec(experiments.TaxSpec(), 400)}, Options{
+	rep, err := verify.Run(context.Background(), []verify.Target{targetFromSpec(experiments.TaxSpec(), 400)}, verify.Options{
 		Seed:            1,
 		SkipServe:       true,
 		SkipMetamorphic: true,
@@ -77,7 +78,7 @@ func TestRunTaxQuick(t *testing.T) {
 func TestRunRespectsCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Run(ctx, []Target{targetFromSpec(experiments.AbaloneSpec(), 100)}, Options{}); err == nil {
+	if _, err := verify.Run(ctx, []verify.Target{targetFromSpec(experiments.AbaloneSpec(), 100)}, verify.Options{}); err == nil {
 		t.Fatal("Run on canceled context succeeded")
 	}
 }
@@ -85,7 +86,7 @@ func TestRunRespectsCancel(t *testing.T) {
 func TestDiffRuleSets(t *testing.T) {
 	spec := experiments.ElectricitySpec()
 	tgt := targetFromSpec(spec, 300)
-	cfg := baseConfig(tgt, tgt.Rel, 64)
+	cfg := verify.BaseConfig(tgt, tgt.Rel, 64)
 	res, err := core.Discover(context.Background(), tgt.Rel, core.WithConfig(cfg))
 	if err != nil {
 		t.Fatalf("Discover: %v", err)
@@ -94,7 +95,7 @@ func TestDiffRuleSets(t *testing.T) {
 	if a.NumRules() == 0 {
 		t.Fatal("no rules discovered")
 	}
-	if d := diffRuleSets(a, a); d != "" {
+	if d := verify.DiffRuleSets(a, a); d != "" {
 		t.Fatalf("self-diff: %s", d)
 	}
 
@@ -103,17 +104,17 @@ func TestDiffRuleSets(t *testing.T) {
 		t.Fatalf("Discover: %v", err)
 	}
 	b := res2.Rules
-	if d := diffRuleSets(a, b); d != "" {
+	if d := verify.DiffRuleSets(a, b); d != "" {
 		t.Fatalf("re-discovery diff: %s", d)
 	}
 
 	b.Rules[0].Rho = a.Rules[0].Rho + 1e-12
-	if d := diffRuleSets(a, b); !strings.Contains(d, "ρ") {
+	if d := verify.DiffRuleSets(a, b); !strings.Contains(d, "ρ") {
 		t.Fatalf("ρ perturbation not detected: %q", d)
 	}
 	b.Rules[0].Rho = a.Rules[0].Rho
 	b.Fallback++
-	if d := diffRuleSets(a, b); !strings.Contains(d, "fallback") {
+	if d := verify.DiffRuleSets(a, b); !strings.Contains(d, "fallback") {
 		t.Fatalf("fallback perturbation not detected: %q", d)
 	}
 }
@@ -127,10 +128,10 @@ func TestDriftBoundScalesWithDomain(t *testing.T) {
 	rel.MustAppend(dataset.Tuple{dataset.Num(-200), dataset.Num(1)})
 	rel.MustAppend(dataset.Tuple{dataset.Num(50), dataset.Num(2)})
 	rel.MustAppend(dataset.Tuple{dataset.Null(), dataset.Num(3)})
-	if got, want := xScale(rel, []int{0}), 201.0; got != want {
+	if got, want := verify.XScale(rel, []int{0}), 201.0; got != want {
 		t.Fatalf("xScale = %g, want %g", got, want)
 	}
-	if b := driftBound(0.01, 201); b < 2*0.01*201 {
+	if b := verify.DriftBound(0.01, 201); b < 2*0.01*201 {
 		t.Fatalf("driftBound %g below 2·tol·scale", b)
 	}
 }
